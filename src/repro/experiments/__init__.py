@@ -30,14 +30,11 @@ from .cli import main
 from .executors import (
     BACKENDS,
     ChunkedShardExecutor,
-    ProcessExecutor,
     SerialExecutor,
     SweepExecutor,
     WorkerTimeout,
     plan_shards,
     resolve_executor,
-    run_cell_monitored,
-    run_shard,
     run_shard_monitored,
     shard_signature,
 )
@@ -73,7 +70,6 @@ from .serve import (
     MAX_CELLS,
     SpecError,
     SweepService,
-    parse_endpoint,
     validate_spec,
 )
 from .runner import (
@@ -102,6 +98,7 @@ from .remote import (
     WorkerFailure,
     cell_from_wire,
     cell_to_wire,
+    parse_endpoint,
     run_worker,
 )
 from .snapshot import (
@@ -142,7 +139,6 @@ __all__ = [
     "GOLDEN_FORMAT_VERSION",
     "INDEX_FORMAT_VERSION",
     "MAX_CELLS",
-    "ProcessExecutor",
     "RemoteExecutor",
     "ResultStore",
     "SEGMENT_FORMAT_VERSION",
@@ -199,8 +195,6 @@ __all__ = [
     "validate_spec",
     "run_analyses",
     "run_cell",
-    "run_cell_monitored",
-    "run_shard",
     "run_shard_monitored",
     "run_sweep",
     "run_worker",

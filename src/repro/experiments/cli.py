@@ -290,8 +290,7 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
     progress = (lambda message: print(f"  {message}", file=out)) if args.verbose else None
     backend: Any = args.backend
     if args.backend == "remote":
-        from .remote import RemoteExecutor
-        from .serve import parse_endpoint
+        from .remote import RemoteExecutor, parse_endpoint
 
         host, port = parse_endpoint(args.listen or "127.0.0.1:0", what="--listen")
         try:
@@ -366,11 +365,6 @@ def _cmd_worker(args: argparse.Namespace, out) -> int:
         except FaultError as exc:
             raise CliError(f"--faults: {exc}")
     from .remote import run_worker
-    from .serve import parse_endpoint
-
-    # Fail fast on a malformed or unresolvable endpoint: without this a bad
-    # host would spin in the connect-retry loop for the whole timeout.
-    parse_endpoint(args.connect, what="--connect")
 
     notify = (lambda message: print(message, file=out, flush=True)) if args.verbose else None
     return run_worker(
@@ -386,7 +380,8 @@ def _cmd_worker(args: argparse.Namespace, out) -> int:
 
 def _cmd_serve(args: argparse.Namespace, out) -> int:
     """``repro serve``: the HTTP sweep service (:mod:`repro.experiments.serve`)."""
-    from .serve import SweepService, parse_endpoint
+    from .remote import parse_endpoint
+    from .serve import SweepService
 
     host, port = parse_endpoint(args.listen, what="--listen")
     workers_listen = None

@@ -6,14 +6,10 @@ is a :class:`SweepExecutor`: it receives the pending ``(index, cell)`` pairs
 and must invoke the result handler exactly once per cell, in completion
 order, with either the cell's result record or an error record.
 
-Four backends ship:
+Three backends ship:
 
 * :class:`SerialExecutor` — in-process, cell by cell.  No pool spawn cost,
   so it is the right choice for single-worker runs and tiny sweeps.
-* :class:`ProcessExecutor` — one :class:`~concurrent.futures.\
-ProcessPoolExecutor` task per cell (the classic behaviour).  Maximum
-  scheduling freedom, but every cell pays task dispatch, a fresh intern
-  pool, and scenario construction on its own.
 * :class:`ChunkedShardExecutor` — groups cells into per-worker *shards* and
   dispatches whole shards.  Cells are grouped by their shard signature
   (scenario name plus the parameters flagged ``shard_key=True`` on their
@@ -25,21 +21,25 @@ ProcessPoolExecutor` task per cell (the classic behaviour).  Maximum
   this amortisation dominates (see ``benchmarks/test_bench_sweep.py``).
   The trade-off is checkpoint granularity: a worker reports a whole shard
   at once, so a sweep killed mid-shard loses that shard's completed-but-
-  unreported cells (bounded by the shard size), where the per-cell
-  backends lose at most one cell per worker.
+  unreported cells (bounded by the shard size).  The ``process`` backend is
+  this executor with a shard size of 1 (per-cell dispatch), which loses at
+  most one cell per worker.
 * :class:`~repro.experiments.remote.RemoteExecutor` — serves shards to
   remote worker processes over a socket wire protocol with heartbeats and
   lease-based assignment (see :mod:`repro.experiments.remote`).
 
-The pool-backed backends are supervised (:class:`_PoolSupervisor`): a
+The sharded executor's pools are supervised (:class:`_PoolSupervisor`): a
 worker that dies mid-task (``BrokenProcessPool``) triggers a pool restart
 and resubmission of the lost tasks instead of aborting the sweep; a task
 whose worker exceeds its execution deadline is abandoned (the pool is
 killed and restarted) and, after repeated timeouts, quarantined as an error
 record; and when the pool keeps breaking without making progress, execution
-degrades gracefully to the in-process serial path for whatever remains.  A
-shard that fails as a unit is re-run inline cell by cell, so one poison
-cell costs one error record, not its whole shard.
+degrades gracefully to in-process execution for whatever remains.  A shard
+that fails as a unit is re-run in-process with per-cell isolation, so one
+poison cell costs one error record, not its whole shard.  Every in-process
+shard — single-worker runs, inline retries, the fallback, and the remote
+coordinator's local drain — goes through :func:`run_shard_monitored`, the
+same runner pool workers use.
 
 Every backend produces records identical to the serial one (modulo the
 ``duration_s`` timing field): cells are seeded by their identity, interning
@@ -357,83 +357,6 @@ pool_worker_init`, so chaos plans (``REPRO_FAULTS``) apply to pool workers
         return list(pending), timed_out_ids
 
 
-def _fold_supervisor(executor: SweepExecutor, supervisor: _PoolSupervisor) -> None:
-    fabric = executor.fabric
-    for key, value in supervisor.stats.items():
-        fabric[key] = fabric.get(key, 0) + value
-
-
-class ProcessExecutor(SweepExecutor):
-    """One process-pool task per cell (per-cell dispatch), supervised."""
-
-    name = "process"
-
-    def __init__(
-        self,
-        workers: int,
-        cell_timeout: Optional[float] = None,
-        max_restarts: int = DEFAULT_MAX_POOL_RESTARTS,
-        max_attempts: int = DEFAULT_MAX_TASK_ATTEMPTS,
-    ):
-        if workers < 1:
-            raise SweepError(f"workers must be >= 1, got {workers}")
-        if cell_timeout is not None and cell_timeout <= 0:
-            raise SweepError(f"cell timeout must be > 0, got {cell_timeout}")
-        self.workers = workers
-        self.cell_timeout = cell_timeout
-        self.max_restarts = max_restarts
-        self.max_attempts = max_attempts
-
-    def execute(self, pending: Sequence[Tuple[int, SweepCell]], handle: ResultHandler) -> None:
-        if self.workers == 1 or len(pending) <= 1:
-            # In-process: increments land in the parent registry directly.
-            SerialExecutor().execute(pending, handle)
-            return
-        supervisor = _PoolSupervisor(
-            run_cell_monitored,
-            self.workers,
-            task_timeout=self.cell_timeout,
-            max_restarts=self.max_restarts,
-            max_attempts=self.max_attempts,
-        )
-
-        def on_done(tid: int, outcome: Tuple[str, Any]) -> None:
-            index, cell = pending[tid]
-            kind, value = outcome
-            if kind == "ok":
-                record = value["record"]
-                self._absorb_worker_payload(value, cells=1)
-            else:
-                record = error_record(cell, value)
-            handle(index, cell, record)
-
-        leftover, timed_out = supervisor.run([cell for _, cell in pending], on_done)
-        _fold_supervisor(self, supervisor)
-        # Quarantine repeat deadline violators: a cell that hung its worker
-        # on every attempt would hang the sweep itself if re-run inline.
-        for tid in timed_out:
-            index, cell = pending[tid]
-            _C_QUARANTINED.value += 1
-            self._bump("cells_quarantined")
-            handle(
-                index,
-                cell,
-                error_record(
-                    cell,
-                    WorkerTimeout(
-                        f"cell exceeded {self.cell_timeout}s on "
-                        f"{self.max_attempts} worker(s); quarantined"
-                    ),
-                ),
-            )
-        # Graceful degradation: workers died faster than they made progress,
-        # so whatever never timed out finishes on the in-process serial path.
-        if leftover:
-            _C_INLINE_FALLBACK.value += len(leftover)
-            self._bump("inline_fallback_cells", len(leftover))
-            SerialExecutor().execute([pending[tid] for tid in leftover], handle)
-
-
 def shard_signature(cell: SweepCell) -> Tuple[Any, ...]:
     """The grouping key of a cell for sharded execution.
 
@@ -485,28 +408,6 @@ def plan_shards(
     return shards
 
 
-def run_cell_monitored(cell: SweepCell) -> Dict[str, Any]:
-    """Execute one cell and ship its metric delta with the record.
-
-    The worker half of the snapshot-delta protocol
-    (:mod:`repro.obs.collect`): the payload carries the result record plus
-    everything the cell's execution added to this process's registry, so the
-    sweep parent can merge metrics from reused pool workers without double
-    counting.  New trace events ride along when deep tracing is on.
-    """
-    baseline = registry_baseline()
-    mark = len(trace_events())
-    started = time.perf_counter()
-    faults.fire("worker.cell")
-    record = run_cell(cell)
-    return {
-        "record": record,
-        "metrics": registry_delta(baseline),
-        "wall_s": time.perf_counter() - started,
-        "trace": trace_events()[mark:],
-    }
-
-
 def run_shard_monitored(
     cells: Sequence[SweepCell],
     base_cache: Optional[Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Any]] = None,
@@ -521,8 +422,9 @@ def run_shard_monitored(
     params)`` assignment (cells differing only in adversary re-decorate it).
     ``records`` holds one record per cell, aligned with the input order; a
     failing cell yields an error record without poisoning the rest of the
-    shard.  Like :func:`run_cell_monitored`, the payload carries the shard's
-    registry delta, wall time, and new trace events.
+    shard.  The payload also carries the shard's registry delta, wall time,
+    and new trace events, so a pool parent can merge a reused worker's
+    metrics without double counting (see :mod:`repro.obs.collect`).
 
     A warm-started worker (``repro worker --snapshot``, see
     :mod:`repro.experiments.snapshot`) passes its pre-built ``base_cache``
@@ -561,11 +463,6 @@ def run_shard_monitored(
     }
 
 
-def run_shard(cells: Sequence[SweepCell]) -> List[Dict[str, Any]]:
-    """The records of :func:`run_shard_monitored` (compatibility surface)."""
-    return run_shard_monitored(cells)["records"]
-
-
 class ChunkedShardExecutor(SweepExecutor):
     """Dispatch per-worker shards of structurally similar cells, supervised."""
 
@@ -595,15 +492,8 @@ class ChunkedShardExecutor(SweepExecutor):
         shards = plan_shards(pending, self.workers, self.shard_size)
         if self.workers == 1 or len(shards) <= 1:
             # Still amortised (shared pool, scenario cache), just in-process.
-            # Record shard wall-time metadata only: the metric increments and
-            # trace events already landed in the parent registry/buffer, and
-            # absorbing the payload too would double count them.
             for shard in shards:
-                payload = run_shard_monitored([cell for _, cell in shard])
-                self.worker_telemetry.add_shard(
-                    len(shard), payload["wall_s"], in_process=True
-                )
-                self._deliver(shard, payload["records"], handle)
+                self._run_inline(shard, handle)
             return
         supervisor = _PoolSupervisor(
             run_shard_monitored,
@@ -619,16 +509,20 @@ class ChunkedShardExecutor(SweepExecutor):
             if kind == "ok":
                 self._absorb_worker_payload(value, cells=len(shard))
                 self._deliver(shard, value["records"], handle)
-            else:
-                # The shard failed as a unit (its worker raised outside the
-                # per-cell isolation): re-run inline per cell so one poison
-                # cell costs one record, not the whole shard.
-                self._retry_shard_inline(shard, handle, cause=value)
+                return
+            # The shard failed as a unit (its worker raised outside the
+            # per-cell isolation): re-run it inline, where per-cell isolation
+            # makes one poison cell cost one record, not the whole shard.
+            _C_SHARD_INLINE_RETRY.value += 1
+            self._bump("shard_inline_retries")
+            self.fabric["last_shard_error"] = f"{type(value).__name__}: {value}"
+            self._run_inline(shard, handle, inline_retry=True)
 
         leftover, timed_out = supervisor.run(
             [[cell for _, cell in shard] for shard in shards], on_done
         )
-        _fold_supervisor(self, supervisor)
+        for key, value in supervisor.stats.items():
+            self._bump(key, value)
         for tid in timed_out:
             # Quarantine: this shard repeatedly hung its worker past the
             # deadline; re-running it inline could hang the sweep itself.
@@ -647,39 +541,31 @@ class ChunkedShardExecutor(SweepExecutor):
                     ),
                 )
         for tid in leftover:
-            # Workers died faster than they made progress: finish in-process.
-            self._retry_shard_inline(shards[tid], handle, cause=None)
+            # Graceful degradation: workers died faster than they made
+            # progress, so whatever never timed out finishes in-process.
+            _C_INLINE_FALLBACK.value += len(shards[tid])
+            self._bump("inline_fallback_cells", len(shards[tid]))
+            self._run_inline(shards[tid], handle, inline_fallback=True)
 
-    def _retry_shard_inline(
+    def _run_inline(
         self,
         shard: Sequence[Tuple[int, SweepCell]],
         handle: ResultHandler,
-        cause: Optional[BaseException],
+        **extra: Any,
     ) -> None:
-        """Run a failed shard's cells one by one in the parent process.
+        """Run one shard in the parent process and deliver its records.
 
-        Per-cell granularity is the point: only the genuinely failing cell
-        yields an error record.  In-process execution, so only shard
-        wall-time metadata is recorded (metrics land in the parent registry
-        directly).  Injected faults never fire here — the parent is not a
-        marked worker — which also makes this the safe terminal fallback.
+        Only shard wall-time metadata is recorded: the metric increments and
+        trace events already landed in the parent registry/buffer, and
+        absorbing the payload too would double count them.  Injected faults
+        never fire here — the parent is not a marked worker — which also
+        makes this the safe terminal fallback.
         """
-        _C_SHARD_INLINE_RETRY.value += 1
-        self._bump("shard_inline_retries")
-        if cause is not None:
-            self.fabric["last_shard_error"] = f"{type(cause).__name__}: {cause}"
-        started = time.perf_counter()
-        with intern_pool():
-            base_cache: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Any] = {}
-            for index, cell in shard:
-                try:
-                    record, _ = execute_cell_inline(cell, base_cache=base_cache)
-                except Exception as exc:  # noqa: BLE001 - per-cell isolation
-                    record = error_record(cell, exc)
-                handle(index, cell, record)
+        payload = run_shard_monitored([cell for _, cell in shard])
         self.worker_telemetry.add_shard(
-            len(shard), time.perf_counter() - started, in_process=True, inline_retry=True
+            len(shard), payload["wall_s"], in_process=True, **extra
         )
+        self._deliver(shard, payload["records"], handle)
 
     @staticmethod
     def _deliver(
@@ -702,15 +588,17 @@ def resolve_executor(
     """Turn a backend name (or a ready executor) into a :class:`SweepExecutor`.
 
     ``auto`` picks the serial path for one worker and per-cell process
-    dispatch otherwise; ``process`` with one worker also degrades to serial
-    (no point spawning a pool for sequential work).  ``sharded`` keeps its
-    chunked execution even single-worker — the shared-pool and scenario-cache
-    amortisation applies in-process too.  ``remote`` builds a loopback
+    dispatch otherwise; ``process`` is per-cell dispatch, i.e. the sharded
+    executor with a shard size of 1 (reported as backend ``process``), and
+    with one worker also degrades to serial (no point spawning a pool for
+    sequential work).  ``sharded`` keeps its chunked execution even
+    single-worker — the shared-pool and scenario-cache amortisation applies
+    in-process too.  ``remote`` builds a loopback
     coordinator with default fabric settings; callers who need a fixed
     listen address or tuned lease/heartbeat timeouts construct a
     :class:`~repro.experiments.remote.RemoteExecutor` themselves and pass it
-    as the backend (the CLI does).  ``cell_timeout`` is the per-cell (or,
-    sharded, per-shard) worker execution deadline; ``None`` disables
+    as the backend (the CLI does).  ``cell_timeout`` is the per-shard worker
+    execution deadline (per cell on ``process``); ``None`` disables
     deadline supervision.
     """
     if isinstance(backend, SweepExecutor):
@@ -724,7 +612,9 @@ def resolve_executor(
     if backend == "process":
         if workers == 1:
             return SerialExecutor()
-        return ProcessExecutor(workers, cell_timeout=cell_timeout)
+        executor = ChunkedShardExecutor(workers, shard_size=1, shard_timeout=cell_timeout)
+        executor.name = "process"
+        return executor
     if backend == "sharded":
         return ChunkedShardExecutor(
             workers, shard_size=shard_size, shard_timeout=cell_timeout

@@ -23,9 +23,9 @@ Spec grammar (comma-separated rules)::
   sleep), ``drop`` (raise :class:`DropConnection`; only meaningful at the
   remote worker's connection-facing points, where the worker catches it and
   reconnects).
-* ``POINT`` — a dotted site name.  The shipped points are ``worker.cell``
-  and ``worker.shard`` (fired by ``run_cell_monitored`` /
-  ``run_shard_monitored`` before the work) and ``worker.result`` /
+* ``POINT`` — a dotted site name.  The shipped points are ``worker.shard``
+  and ``worker.cell`` (fired by ``run_shard_monitored`` before the shard
+  and before each of its cells) and ``worker.result`` /
   ``worker.connect`` (fired by the remote worker runtime).  The *storage*
   points are ``store.append``, ``store.rotate``, and ``store.seal``,
   consulted by :class:`repro.experiments.store.ResultStore`.

@@ -60,10 +60,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs import metrics as _metrics
 from ..obs.trace import tracing_enabled
-from ..simulation.interning import intern_pool
 from . import faults
 from .executors import ResultHandler, SweepExecutor, plan_shards, run_shard_monitored
-from .runner import SweepCell, SweepError, error_record, execute_cell_inline
+from .runner import SweepCell, SweepError, error_record
+from .runner import execute_cell_inline  # noqa: F401 - re-exported: profilers patch it here
 
 __all__ = [
     "FabricScheduler",
@@ -71,6 +71,7 @@ __all__ = [
     "WorkerFailure",
     "cell_from_wire",
     "cell_to_wire",
+    "parse_endpoint",
     "read_message",
     "run_worker",
     "send_message",
@@ -92,6 +93,42 @@ _C_WORKER_RECONNECTS = _metrics.counter("remote.worker_reconnects")
 
 class WorkerFailure(RuntimeError):
     """A cell was quarantined after failing on too many distinct workers."""
+
+
+# ---------------------------------------------------------------------------
+# Endpoints — the one HOST:PORT parser behind `repro serve/sweep/worker` (the
+# CLI renders SweepError as a one-line `error: ...` with exit code 2).
+# ---------------------------------------------------------------------------
+
+
+def parse_endpoint(text: str, what: str = "address", resolve: bool = True) -> Tuple[str, int]:
+    """Parse and validate ``HOST:PORT``.
+
+    Raises :class:`SweepError` (one line, CLI-renderable) on a missing or
+    non-numeric port, an out-of-range port, or — with ``resolve`` — a host
+    that does not resolve.  An empty host (``:8080``) means loopback;
+    bracketed IPv6 literals (``[::1]:8080``) are accepted.
+    """
+    host, sep, port_text = text.rpartition(":")
+    if not sep or not port_text:
+        raise SweepError(f"{what} expects HOST:PORT, got {text!r} (missing port)")
+    try:
+        port = int(port_text)
+    except ValueError:
+        raise SweepError(
+            f"{what} expects a numeric port, got {port_text!r} in {text!r}"
+        ) from None
+    if not 0 <= port <= 65535:
+        raise SweepError(f"{what} port must be in [0, 65535], got {port}")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
+    host = host or "127.0.0.1"
+    if resolve:
+        try:
+            socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)
+        except OSError as exc:
+            raise SweepError(f"{what}: cannot resolve host {host!r}: {exc}") from None
+    return host, port
 
 
 # ---------------------------------------------------------------------------
@@ -716,22 +753,18 @@ class RemoteExecutor(SweepExecutor):
             shard = scheduler.take_local(time.monotonic())
         if not shard:
             return
-        started = time.perf_counter()
-        results: List[Tuple[int, SweepCell, Dict[str, Any]]] = []
-        with intern_pool():
-            base_cache: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Any] = {}
-            for index, cell in shard:
-                try:
-                    record, _ = execute_cell_inline(cell, base_cache=base_cache)
-                except Exception as exc:  # noqa: BLE001 - per-cell isolation
-                    record = error_record(cell, exc)
-                results.append((index, cell, record))
+        payload = run_shard_monitored([cell for _, cell in shard])
+        results = [
+            (index, cell, record)
+            for (index, cell), record in zip(shard, payload["records"], strict=True)
+        ]
         with self._lock:
             fresh = scheduler.record_local(results)
         # In-process execution: metrics already landed in the parent
-        # registry, so record shard wall-time metadata only.
+        # registry, so record shard wall-time metadata only.  Injected faults
+        # never fire here: the coordinator is not a marked worker.
         self.worker_telemetry.add_shard(
-            len(shard), time.perf_counter() - started, in_process=True, local_fallback=True
+            len(shard), payload["wall_s"], in_process=True, local_fallback=True
         )
         self._bump("local_fallback_shards")
         for index, cell, record in fresh:
@@ -863,17 +896,6 @@ class RemoteExecutor(SweepExecutor):
 # ---------------------------------------------------------------------------
 
 
-def _parse_address(text: str) -> Tuple[str, int]:
-    host, _, port_text = text.rpartition(":")
-    if not host or not port_text:
-        raise SweepError(f"expected HOST:PORT, got {text!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise SweepError(f"expected a numeric port in {text!r}")
-    return host, port
-
-
 def _connect_with_retry(
     address: Tuple[str, int], deadline: float, retry_s: float = 0.2
 ) -> Optional[socket.socket]:
@@ -903,8 +925,9 @@ def run_worker(
     """The worker main loop: connect, heartbeat, execute leases, repeat.
 
     Returns 0 when the coordinator sends ``shutdown``, 1 when the
-    coordinator becomes unreachable for ``connect_timeout_s``.  The process
-    is marked as a fault-injection worker, so ``--faults`` (or the
+    coordinator becomes unreachable for ``connect_timeout_s``; a malformed
+    or unresolvable ``connect`` raises :class:`SweepError` up front.  The
+    process is marked as a fault-injection worker, so ``--faults`` (or the
     ``REPRO_FAULTS`` environment) scripts kills, hangs, slowdowns, and
     dropped connections deterministically; a dropped connection (injected or
     real) reconnects under the same worker id and the lease machinery
@@ -917,8 +940,10 @@ def run_worker(
     file load.  A missing or corrupt snapshot is reported and ignored —
     warm-start is an optimisation, never a correctness dependency.
     """
+    # Fail fast on a malformed or unresolvable endpoint: a bad address would
+    # otherwise spin in the connect-retry loop for the whole timeout.
+    address = parse_endpoint(connect, what="--connect")
     faults.mark_worker(faults_spec)
-    address = _parse_address(connect)
     wid = worker_id or f"{socket.gethostname()}-{os.getpid()}"
     notify = log or (lambda message: None)
     base_cache = None

@@ -249,7 +249,7 @@ def build_base_scenario(cell: SweepCell) -> Scenario:
 
     The base scenario depends only on ``(scenario, params)``, so shard
     workers cache it across cells that differ only in adversary or horizon
-    override (see :func:`repro.experiments.executors.run_shard`).
+    override (see :func:`repro.experiments.executors.run_shard_monitored`).
     """
     return get_scenario(cell.scenario).build(**cell.params_dict())
 
@@ -337,7 +337,7 @@ def execute_cell(cell: SweepCell) -> Tuple[Dict[str, Any], "Run"]:
     of the cell shares the hash-consed substrate (identity equality, cached
     causal pasts), and dropping the pool afterwards bounds worker memory
     across a long sweep.  Shard workers instead scope one pool around a whole
-    shard (:func:`repro.experiments.executors.run_shard`).
+    shard (:func:`repro.experiments.executors.run_shard_monitored`).
     """
     with intern_pool():
         return execute_cell_inline(cell)

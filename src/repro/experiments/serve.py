@@ -6,7 +6,7 @@ progress, and read cell records and aggregated reports straight out of the
 content-addressed :class:`~repro.experiments.store.ResultStore`.  The design
 splits a small always-on hub from elastic workers: hot results cost one
 advisory-index probe plus one pread, and only cold cells fan out to the
-distributed fabric (:mod:`repro.experiments.remote`).
+distributed fabric (:mod:`repro.experiments.remote`) when one is attached.
 
 Everything is stdlib (``http.server.ThreadingHTTPServer``, newline-JSON
 bodies) — no new dependencies.  Endpoints:
@@ -15,9 +15,9 @@ bodies) — no new dependencies.  Endpoints:
 ``POST /sweeps``          validate a spec against the scenario registry's
                           typed ParamSpecs, return a sweep id; cells already
                           in the store are instant cache hits, cold cells
-                          execute through the scheduler's dedup path
-``GET /sweeps/{id}``      progress snapshot (counts + lease-based fabric
-                          state while running)
+                          execute in-process or on the worker fleet
+``GET /sweeps/{id}``      progress snapshot (counts + fabric state while
+                          running)
 ``GET /sweeps/{id}/events``  chunked newline-JSON progress stream
 ``GET /results/{key}``    one record, content-addressed; a damaged or
                           missing record of a known cell degrades to
@@ -30,13 +30,14 @@ bodies) — no new dependencies.  Endpoints:
 
 Invariants this module rides on (and must preserve):
 
-* **All sweep result delivery goes through the scheduler.**  Jobs execute
-  via :func:`~repro.experiments.runner.run_sweep` on a
-  :class:`~repro.experiments.remote.RemoteExecutor` backend — with
-  ``--workers-listen`` remote workers take leases, without it the inline
-  fallback drains shards — and either way every record reaches the handler
-  through ``FabricScheduler.complete``/``record_local``, whose dedup fires
-  the handler exactly once per cell.
+* **Every job delivers each cell exactly once.**  Jobs execute via
+  :func:`~repro.experiments.runner.run_sweep`.  Without ``--workers-listen``
+  they run in-process on a single-worker
+  :class:`~repro.experiments.executors.ChunkedShardExecutor`, which calls
+  the result handler once per cell by construction; with it, a
+  :class:`~repro.experiments.remote.RemoteExecutor` serves leases to the
+  fleet and ``FabricScheduler.complete``/``record_local`` dedup redelivered
+  cells.
 * **The store is the shared source of truth.**  Every request opens its own
   :class:`ResultStore` view, so reads ride the store invariants (tail always
   scanned in full, advisory index, tail-wins lookups, flock'd appends) and a
@@ -52,7 +53,6 @@ from __future__ import annotations
 import hashlib
 import json
 import queue
-import socket
 import threading
 import time
 import urllib.parse
@@ -63,7 +63,8 @@ from ..obs import metrics as _metrics
 from ..obs.trace import span
 from ..scenarios.base import RegistryError, get_scenario
 from .analyses import AnalysisError, get_analysis
-from .remote import RemoteExecutor
+from .executors import ChunkedShardExecutor, SweepExecutor
+from .remote import RemoteExecutor, parse_endpoint  # parse_endpoint: re-exported
 from .reporting import DEFAULT_REPORT_METRICS, cell_records, report_payload
 from .runner import (
     ADVERSARIES,
@@ -102,41 +103,9 @@ MAX_CELLS = 10_000
 #: reports the drop instead of growing without bound.
 _MAX_EVENTS = 20_000
 
-
-# ---------------------------------------------------------------------------
-# Endpoint parsing — shared by `repro serve/sweep/worker` (the CLI renders
-# SweepError as a one-line `error: ...` with exit code 2).
-# ---------------------------------------------------------------------------
-
-
-def parse_endpoint(text: str, what: str = "address", resolve: bool = True) -> Tuple[str, int]:
-    """Parse and validate ``HOST:PORT``.
-
-    Raises :class:`SweepError` (one line, CLI-renderable) on a missing or
-    non-numeric port, an out-of-range port, or — with ``resolve`` — a host
-    that does not resolve.  An empty host (``:8080``) means loopback;
-    bracketed IPv6 literals (``[::1]:8080``) are accepted.
-    """
-    host, sep, port_text = text.rpartition(":")
-    if not sep or not port_text:
-        raise SweepError(f"{what} expects HOST:PORT, got {text!r} (missing port)")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise SweepError(
-            f"{what} expects a numeric port, got {port_text!r} in {text!r}"
-        ) from None
-    if not 0 <= port <= 65535:
-        raise SweepError(f"{what} port must be in [0, 65535], got {port}")
-    if host.startswith("[") and host.endswith("]"):
-        host = host[1:-1]
-    host = host or "127.0.0.1"
-    if resolve:
-        try:
-            socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)
-        except OSError as exc:
-            raise SweepError(f"{what}: cannot resolve host {host!r}: {exc}") from None
-    return host, port
+#: How often the HTTP serving loop checks for shutdown, so ``stop()`` returns
+#: promptly (``serve_forever`` defaults to 0.5 s).
+_POLL_INTERVAL_S = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +282,7 @@ class SweepJob:
         self.backend: Optional[str] = None
         self.events: List[Dict[str, Any]] = []
         self.cond = threading.Condition()
-        self.executor: Optional[RemoteExecutor] = None
+        self.executor: Optional[SweepExecutor] = None
 
     @property
     def terminal(self) -> bool:
@@ -366,7 +335,7 @@ class SweepJob:
             out["error"] = self.error
         executor = self.executor
         if executor is not None:
-            # Live lease-based scheduler state (workers, leases, retries).
+            # Live robustness accounting (workers, leases, retries).
             out["fabric"] = executor.fabric_summary()
         return out
 
@@ -380,12 +349,11 @@ class SweepService:
     """The serve hub: sweep jobs, content-addressed reads, cached reports.
 
     One background runner thread drains POSTed jobs in FIFO order; each job
-    runs :func:`run_sweep` on a :class:`RemoteExecutor` backend (bound to
-    ``workers_listen`` when given, else degrading instantly to the inline
-    fallback), so every result reaches the store through the scheduler's
-    exactly-once dedup path.  Sequential job execution makes overlapping
-    grids naturally exactly-once: the second job's cache scan sees the
-    first job's records.
+    runs :func:`run_sweep` in-process, or on a :class:`RemoteExecutor` bound
+    to ``workers_listen`` when given.  Either backend delivers each cell
+    exactly once.  Sequential job execution makes overlapping grids
+    naturally exactly-once: the second job's cache scan sees the first
+    job's records.
     """
 
     def __init__(
@@ -477,28 +445,24 @@ class SweepService:
         with self._lock:
             return self._jobs.get(job_id)
 
-    def _make_executor(self) -> RemoteExecutor:
-        if self.workers_listen is not None:
-            host, port = self.workers_listen
-            return RemoteExecutor(
-                host,
-                port,
-                workers_hint=self.workers,
-                shard_size=self.shard_size,
-                local_fallback_after_s=self.local_fallback_s,
-            )
-        # No worker fleet: an ephemeral loopback coordinator that degrades
-        # to the inline fallback immediately — results still flow through
-        # FabricScheduler.take_local/record_local, keeping the dedup path.
+    def _make_executor(self) -> SweepExecutor:
+        if self.workers_listen is None:
+            # No worker fleet: run in-process, amortised like the sharded
+            # backend; it calls the handler exactly once per cell.
+            return ChunkedShardExecutor(1, shard_size=self.shard_size)
+        host, port = self.workers_listen
         return RemoteExecutor(
-            "127.0.0.1",
-            0,
+            host,
+            port,
             workers_hint=self.workers,
             shard_size=self.shard_size,
-            local_fallback_after_s=0.0,
+            local_fallback_after_s=self.local_fallback_s,
         )
 
     def _run_job(self, job: SweepJob) -> None:
+        # The terminal status and the final event change in one hold of
+        # ``job.cond``, so an event stream that sees the job finished has
+        # already seen its ``complete`` (or ``failed``) event.
         started = time.perf_counter()
         with job.cond:
             job.status = "running"
@@ -510,11 +474,10 @@ class SweepService:
             with job.cond:
                 job.status = "failed"
                 job.error = f"cannot bind workers-listen endpoint: {exc}"
-                job.cond.notify_all()
-            job.emit({"event": "failed", "error": job.error})
+                job.emit({"event": "failed", "error": job.error})
             return
         job.executor = executor
-        if self.workers_listen is not None:
+        if isinstance(executor, RemoteExecutor):
             self.log(
                 f"sweep {job.id}: coordinator on "
                 f"{executor.address[0]}:{executor.address[1]}"
@@ -533,28 +496,26 @@ class SweepService:
                 job.status = "done"
                 job.duration_s = outcome.duration_s
                 job.backend = outcome.backend
-                job.cond.notify_all()
-            job.emit(
-                {
-                    "event": "complete",
-                    "sweep": job.id,
-                    "cells": {
-                        "total": outcome.total,
-                        "executed": outcome.executed,
-                        "cached": outcome.cached,
-                        "errors": outcome.errors,
-                    },
-                    "duration_s": round(outcome.duration_s, 6),
-                }
-            )
+                job.emit(
+                    {
+                        "event": "complete",
+                        "sweep": job.id,
+                        "cells": {
+                            "total": outcome.total,
+                            "executed": outcome.executed,
+                            "cached": outcome.cached,
+                            "errors": outcome.errors,
+                        },
+                        "duration_s": round(outcome.duration_s, 6),
+                    }
+                )
             self.log(f"sweep {job.id}: {outcome.describe()}")
         except Exception as exc:  # noqa: BLE001 - a job must never kill the hub
             with job.cond:
                 job.status = "failed"
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.duration_s = time.perf_counter() - started
-                job.cond.notify_all()
-            job.emit({"event": "failed", "error": job.error})
+                job.emit({"event": "failed", "error": job.error})
             self.log(f"sweep {job.id}: FAILED: {job.error}")
         finally:
             job.executor = None
@@ -666,7 +627,10 @@ class SweepService:
         )
         self._runner.start()
         self._server_thread = threading.Thread(
-            target=server.serve_forever, name="repro-serve-http", daemon=True
+            target=server.serve_forever,
+            kwargs={"poll_interval": _POLL_INTERVAL_S},
+            name="repro-serve-http",
+            daemon=True,
         )
         self._server_thread.start()
         return self.address
@@ -703,6 +667,9 @@ class _ServeHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
+    # Headers and body go out in two writes; with Nagle on, the second waits
+    # for the client's delayed ACK (~40 ms) on keep-alive connections.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> SweepService:

@@ -4,9 +4,8 @@ Sweep workers run in their own OS processes with their own
 :mod:`repro.obs.metrics` registries, so their instrument values never reach
 the parent by themselves.  The protocol is snapshot deltas: a worker task
 snapshots its registry before the work, does the work, and ships
-``snapshot_diff(before, after)`` back alongside its results (the payloads of
-``run_cell_monitored`` / ``run_shard_monitored`` in
-:mod:`repro.experiments.executors`).  The parent folds every worker delta --
+``snapshot_diff(before, after)`` back alongside its results (the payload of
+``run_shard_monitored`` in :mod:`repro.experiments.executors`).  The parent folds every worker delta --
 plus its own registry delta for in-process work -- into one
 :class:`Collector`, whose merged snapshot becomes the ``metrics`` section of
 the persisted sweep telemetry.

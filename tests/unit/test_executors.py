@@ -4,14 +4,13 @@ import pytest
 
 from repro.experiments import (
     ChunkedShardExecutor,
-    ProcessExecutor,
     SerialExecutor,
     SweepError,
     expand_grid,
     make_cell,
     plan_shards,
     resolve_executor,
-    run_shard,
+    run_shard_monitored,
     run_sweep,
     shard_signature,
 )
@@ -85,7 +84,7 @@ class TestRunShard:
         cells = _small_grid()[:4]
         from repro.experiments import run_cell
 
-        sharded = [_strip(r) for r in run_shard(cells)]
+        sharded = [_strip(r) for r in run_shard_monitored(cells)["records"]]
         percell = [_strip(run_cell(cell)) for cell in cells]
         assert sharded == percell
 
@@ -94,7 +93,7 @@ class TestRunShard:
         # A negative horizon passes parameter validation but makes the
         # simulator raise; the rest of the shard must still complete.
         bad = make_cell("line-flood", overrides={"horizon": -1})
-        records = run_shard([bad, good])
+        records = run_shard_monitored([bad, good])["records"]
         assert records[0]["status"] == "error"
         assert "horizon" in records[0]["error"]
         assert records[1]["status"] == "ok"
@@ -106,7 +105,7 @@ class TestResolveExecutor:
 
     def test_auto_multi_worker_is_process(self):
         executor = resolve_executor("auto", workers=3)
-        assert isinstance(executor, ProcessExecutor)
+        assert isinstance(executor, ChunkedShardExecutor) and executor.name == "process"
         assert executor.workers == 3
 
     def test_process_single_worker_degrades_to_serial(self):
@@ -185,7 +184,7 @@ class TestPoolSupervision:
         cells = self._cells()
         expected = [_strip(r) for r in run_sweep(cells, backend="serial").records]
         monkeypatch.setenv(FAULTS_ENV, "kill@worker.cell:2")
-        executor = ProcessExecutor(2)
+        executor = resolve_executor("process", workers=2)
         outcome = run_sweep(cells, workers=2, backend=executor)
         assert outcome.errors == 0
         assert [_strip(r) for r in outcome.records] == expected
@@ -199,7 +198,7 @@ class TestPoolSupervision:
         cells = self._cells()
         expected = [_strip(r) for r in run_sweep(cells, backend="serial").records]
         monkeypatch.setenv(FAULTS_ENV, "kill@worker.cell:1")
-        executor = ProcessExecutor(2, max_restarts=2)
+        executor = ChunkedShardExecutor(2, shard_size=1, max_restarts=2)
         outcome = run_sweep(cells, workers=2, backend=executor)
         assert outcome.errors == 0
         assert [_strip(r) for r in outcome.records] == expected
@@ -214,7 +213,7 @@ class TestPoolSupervision:
 
         cells = self._cells(2)
         monkeypatch.setenv(FAULTS_ENV, "hang@worker.cell:*:30")
-        executor = ProcessExecutor(2, cell_timeout=0.4, max_attempts=2)
+        executor = ChunkedShardExecutor(2, shard_size=1, shard_timeout=0.4, max_attempts=2)
         seen = {}
         started = _time.perf_counter()
         executor.execute(

@@ -2,12 +2,12 @@
 the HTTP surface of :class:`repro.experiments.serve.SweepService`.
 
 The service under test binds an ephemeral loopback port with no worker
-fleet, so cold cells run through the scheduler's inline fallback — the
-same exactly-once dedup path a real deployment uses.
+fleet, so cold cells run in-process, one handler call per cell.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -57,6 +57,14 @@ class TestParseEndpoint:
 
     def test_resolvable_host(self):
         assert parse_endpoint("localhost:80") == ("localhost", 80)
+
+    def test_run_worker_rejects_out_of_range_port_at_once(self):
+        from repro.experiments.remote import run_worker
+
+        started = time.perf_counter()
+        with pytest.raises(SweepError, match=r"\[0, 65535\]"):
+            run_worker("127.0.0.1:99999", connect_timeout_s=5.0)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestEndpointCliErrors:
@@ -358,6 +366,58 @@ class TestHttpSurface:
         assert scoped["records"] == 2
         status, _ = _get(service, "/report?sweep=sweep-ffffffffffff")
         assert status == 404
+
+    def test_events_stream_carries_complete_before_end(self, service, monkeypatch):
+        """The terminal status and the ``complete`` event land together: a
+        slow final emit must not let the stream write ``end`` first."""
+        from repro.experiments.serve import SweepJob
+
+        emit = SweepJob.emit
+
+        def slow_final_emit(job, event):
+            if event["event"] in ("complete", "failed"):
+                time.sleep(0.3)
+            emit(job, event)
+
+        monkeypatch.setattr(SweepJob, "emit", slow_final_emit)
+        _, body = _post(service, "/sweeps", SMALL_SPEC)
+        with urllib.request.urlopen(
+            f"{service.base}/sweeps/{body['sweep']}/events", timeout=60
+        ) as response:
+            kinds = [json.loads(line)["event"] for line in response.read().splitlines()]
+        assert kinds[-1] == "end"
+        assert "complete" in kinds
+        assert kinds.index("complete") < kinds.index("end")
+
+    def test_keep_alive_requests_do_not_stall(self, service):
+        """Headers and body are two writes; without TCP_NODELAY each
+        keep-alive response waits out the client's delayed ACK (~40 ms)."""
+        host, port = service.address
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            started = time.perf_counter()
+            for _ in range(10):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        assert elapsed < 0.2, f"10 keep-alive requests took {elapsed * 1000:.0f} ms"
+
+    def test_jobs_without_a_fleet_never_open_a_coordinator(self, service, monkeypatch):
+        from repro.experiments import remote
+
+        def no_coordinator(self, *args, **kwargs):
+            raise OSError("a job without a worker fleet must not bind a coordinator")
+
+        monkeypatch.setattr(remote.RemoteExecutor, "__init__", no_coordinator)
+        _, body = _post(service, "/sweeps", SMALL_SPEC)
+        final = _wait_done(service, body["sweep"])
+        assert final["status"] == "done"
+        assert final["cells"]["executed"] == 2
+        assert final["cells"]["errors"] == 0
 
     def test_metrics_json_and_flat(self, service):
         status, snapshot = _get(service, "/metrics")
