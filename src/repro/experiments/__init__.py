@@ -66,16 +66,12 @@ from .reporting import (
     group_records,
     report_payload,
 )
-from .serve import (
-    MAX_CELLS,
-    SpecError,
-    SweepService,
-    validate_spec,
-)
+from .serve import MAX_CELLS, SweepService
 from .runner import (
     ADVERSARIES,
     TELEMETRY_KIND,
     TELEMETRY_STATUS,
+    SpecError,
     SweepCell,
     SweepError,
     SweepOutcome,
@@ -91,6 +87,7 @@ from .runner import (
     run_cell,
     run_sweep,
     sweep_telemetry_key,
+    validate_spec,
 )
 from .remote import (
     FabricScheduler,

@@ -34,7 +34,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.bounds_graph import basic_bounds_graph
 from ..core.extended_graph import ExtendedBoundsGraph
-from ..scenarios.base import ParamSpec, RegistryError, get_scenario, scenario_registry
+from ..scenarios.base import RegistryError, scenario_registry
+from ..simulation.network import NetworkError
 from ..viz.export import causal_dag, graph_to_dot, graph_to_graphml
 from ..viz.html_report import render_html_report
 from ..viz.spacetime import action_table, spacetime_diagram
@@ -64,12 +65,13 @@ from .reporting import (
 from .runner import (
     ADVERSARIES,
     TELEMETRY_KIND,
+    SweepCell,
     SweepError,
     build_cell_scenario,
     execute_cell,
-    expand_grid,
     make_cell,
     run_sweep,
+    validate_spec,
 )
 from .store import DEFAULT_ROTATE_BYTES, DEFAULT_STORE_PATH, ResultStore
 
@@ -77,6 +79,7 @@ from .store import DEFAULT_ROTATE_BYTES, DEFAULT_STORE_PATH, ResultStore
 DEFAULT_SWEEP_SCENARIOS = ("flooding", "torus-flood", "tree-flood")
 DEFAULT_SWEEP_SEEDS = 4
 DEFAULT_SWEEP_WORKERS = 2
+
 
 class CliError(ValueError):
     """Raised on bad command-line input; rendered as an error message."""
@@ -91,59 +94,33 @@ def _csv(text: str) -> List[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _find_param_spec(scenarios: Sequence[str], name: str) -> ParamSpec:
-    for scenario in scenarios:
-        spec = get_scenario(scenario).param(name)
-        if spec is not None:
-            return spec
-    raise CliError(
-        f"no scenario in {list(scenarios)} declares a parameter named {name!r}"
-    )
-
-
-def _parse_single_overrides(
-    scenario: str, assignments: Sequence[str]
-) -> Dict[str, Any]:
-    """Parse ``--set name=value`` entries against one scenario's spec."""
-    overrides: Dict[str, Any] = {}
-    for assignment in assignments:
-        if "=" not in assignment:
-            raise CliError(f"--set expects name=value, got {assignment!r}")
-        name, _, text = assignment.partition("=")
-        name = name.strip()
-        spec = get_scenario(scenario).param(name)
-        if spec is None:
-            raise CliError(
-                f"scenario {scenario!r} has no parameter {name!r}; "
-                f"declared: {[p.name for p in get_scenario(scenario).params]}"
-            )
-        overrides[name] = spec.parse(text)
-    return overrides
-
-
-def _parse_grid_overrides(
-    scenarios: Sequence[str], assignments: Sequence[str]
-) -> Dict[str, List[Any]]:
-    """Parse ``--set name=v1,v2,...`` entries into a parameter grid."""
-    grid: Dict[str, List[Any]] = {}
-    for assignment in assignments:
-        if "=" not in assignment:
+def _set_params(assignments: Optional[Sequence[str]]) -> Dict[str, List[str]]:
+    """Split ``--set name=v1[,v2...]`` entries into the spec's ``params``."""
+    params: Dict[str, List[str]] = {}
+    for assignment in assignments or ():
+        name, sep, text = assignment.partition("=")
+        if not sep:
             raise CliError(f"--set expects name=v1[,v2...], got {assignment!r}")
-        name, _, text = assignment.partition("=")
-        name = name.strip()
-        spec = _find_param_spec(scenarios, name)
-        values = [spec.parse(part) for part in _csv(text)]
-        if not values:
-            raise CliError(f"--set {name!r} needs at least one value")
-        grid[name] = values
-    return grid
+        params[name.strip()] = _csv(text)
+    return params
 
 
-def _validated_analyses(names: Optional[Sequence[str]]) -> Tuple[str, ...]:
-    chosen = tuple(names) if names else DEFAULT_ANALYSES
-    for name in chosen:
-        get_analysis(name)  # raises AnalysisError on unknown names
-    return chosen
+def _one_cell(args: argparse.Namespace) -> SweepCell:
+    """The single cell ``repro run``/``repro export`` name on the command line."""
+    cells, _ = validate_spec(
+        {
+            "scenarios": [args.scenario],
+            "adversaries": [args.adversary],
+            "seeds": [args.seed],
+            "params": _set_params(args.set),
+            "analyses": getattr(args, "analysis", None),
+            "horizon": args.horizon,
+        },
+        params_as_text=True,
+    )
+    if len(cells) != 1:
+        raise CliError(f"repro {args.command} runs one cell, but --set expands to {len(cells)}")
+    return cells[0]
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +147,7 @@ def _cmd_list(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_run(args: argparse.Namespace, out) -> int:
-    overrides = _parse_single_overrides(args.scenario, args.set or ())
-    cell = make_cell(
-        args.scenario,
-        overrides=overrides,
-        adversary=args.adversary,
-        seed=args.seed,
-        analyses=_validated_analyses(args.analysis),
-        horizon=args.horizon,
-    )
+    cell = _one_cell(args)
     record, run = execute_cell(cell)
     if args.store is not None:
         ResultStore(args.store).put(record)
@@ -246,8 +215,7 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
                     "faults only fire in worker processes, never in the "
                     "coordinator (storage-only plans run anywhere)"
                 )
-    scenarios = _csv(args.scenario) if args.scenario else list(DEFAULT_SWEEP_SCENARIOS)
-    adversaries = _csv(args.adversary) if args.adversary else list(ADVERSARIES)
+    seeds: Any = args.seeds
     if args.seed_list is not None:
         # Validate before parsing: an empty value (or one that is all commas)
         # must not silently fall back to the default seed range or expand to
@@ -261,20 +229,21 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
             seeds = [int(part) for part in parts]
         except ValueError:
             raise CliError(f"--seed-list expects integers, got {args.seed_list!r}")
-    else:
-        seeds = list(range(args.seeds))
-    grid = _parse_grid_overrides(scenarios, args.set or ())
-    cells = expand_grid(
-        scenarios,
-        adversaries=adversaries,
-        seeds=seeds,
-        param_grid=grid,
-        analyses=_validated_analyses(args.analysis),
-        horizon=args.horizon,
+    cells, spec = validate_spec(
+        {
+            "scenarios": _csv(args.scenario) if args.scenario else list(DEFAULT_SWEEP_SCENARIOS),
+            "adversaries": _csv(args.adversary) if args.adversary else list(ADVERSARIES),
+            "seeds": seeds,
+            "params": _set_params(args.set),
+            "analyses": args.analysis,
+            "horizon": args.horizon,
+        },
+        params_as_text=True,
     )
+    adversaries = spec["adversaries"]
     print(
-        f"sweep: {len(scenarios)} scenario(s) x {len(adversaries)} adversar"
-        f"{'y' if len(adversaries) == 1 else 'ies'} x {len(seeds)} seed(s)"
+        f"sweep: {len(spec['scenarios'])} scenario(s) x {len(adversaries)} adversar"
+        f"{'y' if len(adversaries) == 1 else 'ies'} x {len(spec['seeds'])} seed(s)"
         f" -> {len(cells)} cells",
         file=out,
     )
@@ -598,14 +567,7 @@ def _parse_sigma(run, text: Optional[str]):
 
 
 def _cmd_export(args: argparse.Namespace, out) -> int:
-    overrides = _parse_single_overrides(args.scenario, args.set or ())
-    cell = make_cell(
-        args.scenario,
-        overrides=overrides,
-        adversary=args.adversary,
-        seed=args.seed,
-        horizon=args.horizon,
-    )
+    cell = _one_cell(args)
     run = build_cell_scenario(cell).run()
     if args.graph == "bounds":
         graph = basic_bounds_graph(run)
@@ -674,13 +636,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CSV",
         help=f"comma-separated adversaries (default: {','.join(ADVERSARIES)})",
     )
-    sweep_parser.add_argument(
+    seed_axis = sweep_parser.add_mutually_exclusive_group()
+    seed_axis.add_argument(
         "--seeds",
         type=int,
         default=DEFAULT_SWEEP_SEEDS,
         help="sweep seeds 0..N-1 (default: %(default)s)",
     )
-    sweep_parser.add_argument(
+    seed_axis.add_argument(
         "--seed-list", default=None, metavar="CSV", help="explicit seed values"
     )
     sweep_parser.add_argument(
@@ -1038,7 +1001,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return commands[args.command](args, sys.stdout)
-    except (CliError, RegistryError, SweepError, AnalysisError) as exc:
+    except (CliError, RegistryError, SweepError, AnalysisError, NetworkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -15,6 +15,11 @@ already present are cache hits and are never re-simulated.  That makes
 repeated sweeps incremental and killed sweeps resumable —
 ``run_sweep(resume=True)`` first recovers the store from any torn tail the
 crash left behind, then skips exactly the cells that already completed.
+
+Grids arrive as JSON-shaped *specs* (``scenarios``, ``adversaries``,
+``seeds``, ``params``, ``analyses``, ``horizon``): :func:`validate_spec` is
+the one parser behind ``repro sweep``/``run``/``export`` and ``POST
+/sweeps``, so both spellings of a grid expand to the same cell keys.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from ..obs import metrics as _metrics
 from ..obs.collect import Collector, registry_baseline, registry_delta
 from ..obs.metrics import merge_snapshots
 from ..obs.trace import span, trace_events, tracing_enabled
-from ..scenarios.base import Scenario, get_scenario
+from ..scenarios.base import RegistryError, Scenario, get_scenario
 from ..simulation.interning import intern_pool, intern_stats
 from ..simulation.delivery import (
     DeliveryStrategy,
@@ -48,7 +53,13 @@ from ..simulation.delivery import (
     LatestDelivery,
     SeededRandomDelivery,
 )
-from .analyses import DEFAULT_ANALYSES, analysis_versions, run_analyses
+from .analyses import (
+    DEFAULT_ANALYSES,
+    AnalysisError,
+    analysis_versions,
+    get_analysis,
+    run_analyses,
+)
 from .store import ResultStore, canonical_json, cell_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -242,6 +253,172 @@ def expand_grid(
                     seen.add(identity)
                     cells.append(cell)
     return cells
+
+
+class SpecError(SweepError):
+    """A malformed sweep spec; ``field`` names the offending spec field."""
+
+    def __init__(self, message: str, field: str = "spec"):
+        super().__init__(message)
+        self.field = field
+
+
+_SPEC_FIELDS = ("scenarios", "adversaries", "seeds", "params", "analyses", "horizon")
+
+
+def _spec_scenarios(spec: Mapping[str, Any]) -> List[str]:
+    scenarios = spec.get("scenarios")
+    if not isinstance(scenarios, list) or not scenarios:
+        raise SpecError(
+            "spec needs a non-empty 'scenarios' list", field="scenarios"
+        )
+    for name in scenarios:
+        if not isinstance(name, str):
+            raise SpecError(f"scenario names must be strings, got {name!r}", field="scenarios")
+        try:
+            get_scenario(name)
+        except RegistryError as exc:
+            raise SpecError(str(exc), field="scenarios") from None
+    return [str(name) for name in scenarios]
+
+
+def _spec_adversaries(spec: Mapping[str, Any]) -> List[str]:
+    adversaries = spec.get("adversaries", list(ADVERSARIES))
+    if not isinstance(adversaries, list) or not adversaries:
+        raise SpecError("'adversaries' must be a non-empty list", field="adversaries")
+    for name in adversaries:
+        if name not in ADVERSARIES:
+            raise SpecError(
+                f"unknown adversary {name!r}; known: {list(ADVERSARIES)}",
+                field="adversaries",
+            )
+    return [str(name) for name in adversaries]
+
+
+def _spec_seeds(spec: Mapping[str, Any]) -> List[int]:
+    seeds = spec.get("seeds", 1)
+    if isinstance(seeds, bool):
+        raise SpecError(f"'seeds' must be an int or a list of ints, got {seeds!r}", field="seeds")
+    if isinstance(seeds, int):
+        if seeds < 1:
+            raise SpecError(f"'seeds' must be >= 1, got {seeds}", field="seeds")
+        return list(range(seeds))
+    if isinstance(seeds, list) and seeds and all(
+        isinstance(s, int) and not isinstance(s, bool) for s in seeds
+    ):
+        return list(seeds)
+    raise SpecError(f"'seeds' must be an int or a list of ints, got {seeds!r}", field="seeds")
+
+
+def _spec_params(
+    spec: Mapping[str, Any], scenarios: Sequence[str], params_as_text: bool
+) -> Dict[str, List[Any]]:
+    params = spec.get("params", {})
+    if not isinstance(params, Mapping):
+        raise SpecError(f"'params' must be an object, got {params!r}", field="params")
+    grid: Dict[str, List[Any]] = {}
+    for name, values in params.items():
+        if not isinstance(values, list):
+            values = [values]  # a scalar sweeps one value
+        if not values:
+            raise SpecError(f"parameter {name!r} needs at least one value", field="params")
+        if params_as_text:
+            # Command-line values are text: parse them with the first
+            # declaring scenario's ParamSpec (expand_grid rejects names no
+            # scenario declares).
+            declared = [get_scenario(s).param(str(name)) for s in scenarios]
+            param = next((p for p in declared if p is not None), None)
+            if param is not None:
+                try:
+                    values = [param.parse(str(value)) for value in values]
+                except RegistryError as exc:
+                    raise SpecError(str(exc), field="params") from None
+        grid[str(name)] = list(values)
+    return grid
+
+
+def _spec_analyses(spec: Mapping[str, Any]) -> Optional[List[str]]:
+    analyses = spec.get("analyses")
+    if analyses is None:
+        return None
+    if not isinstance(analyses, list) or not analyses:
+        raise SpecError("'analyses' must be a non-empty list", field="analyses")
+    for name in analyses:
+        try:
+            get_analysis(str(name))
+        except AnalysisError as exc:
+            raise SpecError(str(exc), field="analyses") from None
+    return [str(name) for name in analyses]
+
+
+def _spec_horizon(spec: Mapping[str, Any]) -> Optional[int]:
+    horizon = spec.get("horizon")
+    if horizon is None:
+        return None
+    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
+        raise SpecError(f"'horizon' must be an int >= 1, got {horizon!r}", field="horizon")
+    return horizon
+
+
+def validate_spec(
+    spec: Any, max_cells: Optional[int] = None, params_as_text: bool = False
+) -> Tuple[List[SweepCell], Dict[str, Any]]:
+    """Validate one sweep spec and expand it into cells.
+
+    The one parser of sweep specs: ``POST /sweeps`` bodies and the argv of
+    ``repro sweep``/``run``/``export`` all come through here.  Every
+    violation raises :class:`SpecError` with a ``field`` attribute naming
+    the offending spec field (the HTTP layer turns that into a 400 with a
+    field-naming error body); parameter values are checked against the
+    registry's typed :class:`~repro.scenarios.base.ParamSpec` entries, so
+    the error message names the parameter too.  JSON values go through
+    ``ParamSpec.validate``; with ``params_as_text`` they are command-line
+    text and go through ``ParamSpec.parse`` first.  ``max_cells`` caps the
+    expansion (``repro serve`` passes its limit; the batch CLI has none).
+    """
+    if not isinstance(spec, Mapping):
+        raise SpecError(f"spec must be a JSON object, got {type(spec).__name__}")
+    for name in spec:
+        if name not in _SPEC_FIELDS:
+            raise SpecError(
+                f"unknown spec field {name!r}; allowed: {list(_SPEC_FIELDS)}",
+                field=str(name),
+            )
+    scenarios = _spec_scenarios(spec)
+    adversaries = _spec_adversaries(spec)
+    seeds = _spec_seeds(spec)
+    grid = _spec_params(spec, scenarios, params_as_text)
+    analyses = _spec_analyses(spec)
+    horizon = _spec_horizon(spec)
+    try:
+        cells = expand_grid(
+            scenarios,
+            adversaries=adversaries,
+            seeds=seeds,
+            param_grid=grid,
+            analyses=DEFAULT_ANALYSES if analyses is None else analyses,
+            horizon=horizon,
+        )
+    except (RegistryError, SweepError) as exc:
+        # ParamSpec.validate names the parameter; surface it under 'params'.
+        raise SpecError(str(exc), field="params") from None
+    if not cells:
+        raise SpecError("spec expands to zero cells")
+    if max_cells is not None and len(cells) > max_cells:
+        raise SpecError(
+            f"spec expands to {len(cells)} cells, over this service's "
+            f"limit of {max_cells} (run it with the batch CLI instead)"
+        )
+    normalized: Dict[str, Any] = {
+        "scenarios": scenarios,
+        "adversaries": adversaries,
+        "seeds": seeds,
+        "params": grid,
+        "horizon": horizon,
+    }
+    if analyses is not None:
+        normalized["analyses"] = analyses
+    return cells, normalized
 
 
 def build_base_scenario(cell: SweepCell) -> Scenario:

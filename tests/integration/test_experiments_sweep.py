@@ -15,10 +15,21 @@ import sys
 import time
 
 import repro
-from repro.experiments import ADVERSARIES, ResultStore, expand_grid, run_sweep
+import pytest
+
+from repro.experiments import (
+    ADVERSARIES,
+    ResultStore,
+    SweepOutcome,
+    expand_grid,
+    run_sweep,
+    validate_spec,
+)
+from repro.experiments import cli
 from repro.experiments.cli import DEFAULT_SWEEP_SCENARIOS, main as cli_main
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
 
 def _grid():
     return expand_grid(
@@ -96,6 +107,62 @@ class TestSweepAcceptance:
             json.dumps(record)
 
 
+#: The same grids spelled as `repro sweep` flags and as `POST /sweeps` bodies.
+ARGV_JSON_GRIDS = {
+    "default-grid": (
+        "",
+        {"scenarios": list(DEFAULT_SWEEP_SCENARIOS), "seeds": 4},
+    ),
+    "ci-resume-grid": (
+        "--scenario torus-flood --adversary random --seeds 24"
+        " --set rows=5 --set cols=5 --set horizon=16",
+        {
+            "scenarios": ["torus-flood"],
+            "adversaries": ["random"],
+            "seeds": 24,
+            "params": {"rows": [5], "cols": [5], "horizon": [16]},
+        },
+    ),
+    "param-declared-by-one-scenario": (
+        "--scenario grid-flood,flooding --adversary earliest --seeds 2"
+        " --set rows=2,3 --set edge_probability=0.25,1",
+        {
+            "scenarios": ["grid-flood", "flooding"],
+            "adversaries": ["earliest"],
+            "seeds": 2,
+            "params": {"rows": [2, 3], "edge_probability": [0.25, 1]},
+        },
+    ),
+    "explicit-seed-list": (
+        "--scenario line-flood --seed-list 3,7,11",
+        {"scenarios": ["line-flood"], "seeds": [3, 7, 11]},
+    ),
+    "analysis-subset": (
+        "--scenario figure1 --seeds 2 --analysis summary --analysis knowledge",
+        {"scenarios": ["figure1"], "seeds": 2, "analyses": ["summary", "knowledge"]},
+    ),
+}
+
+
+class TestArgvJsonParity:
+    """`repro sweep` flags and `POST /sweeps` bodies name the same cells."""
+
+    @pytest.mark.parametrize("grid", sorted(ARGV_JSON_GRIDS))
+    def test_cell_keys_match(self, grid, tmp_path, monkeypatch, capsys):
+        argv, spec = ARGV_JSON_GRIDS[grid]
+        swept = []
+
+        def capture(cells, **kwargs):
+            swept.extend(cells)
+            return SweepOutcome(total=len(cells))
+
+        monkeypatch.setattr(cli, "run_sweep", capture)
+        store_path = str(tmp_path / "results.jsonl")
+        assert cli_main(["sweep", *argv.split(), "--store", store_path]) == 0
+        cells, _ = validate_spec(spec)
+        assert [cell.key() for cell in swept] == [cell.key() for cell in cells]
+
+
 class TestCliSubprocess:
     def _env(self):
         env = dict(os.environ)
@@ -129,6 +196,26 @@ class TestCliSubprocess:
         assert "[backend=sharded]" in result.stdout
         # 4 cell records + 1 telemetry record.
         assert len(ResultStore(store_path)) == 5
+
+    def test_bad_scenario_params_exit_2_without_traceback(self, capsys):
+        for bad in (
+            ["grid-flood", "--set", "rows=0"],
+            ["figure1", "--set", "lower_cb=0"],
+            ["grid-flood", "--set", "lower=5", "--set", "upper=2"],
+        ):
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "run", *bad],
+                capture_output=True,
+                text=True,
+                env=self._env(),
+                timeout=120,
+            )
+            assert result.returncode == 2, (bad, result.stderr)
+            assert "Traceback" not in result.stderr
+            assert result.stderr.startswith("error: ")
+            # `repro export` builds the same cell through the same path.
+            assert cli_main(["export", *bad]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_python_m_repro_list(self):
         result = subprocess.run(

@@ -508,6 +508,32 @@ class TestSeedListValidation:
         assert "-> 2 cells" in capsys.readouterr().out
 
 
+class TestSweepSpecFlags:
+    """`repro sweep` flags fill one spec and are checked by `validate_spec`."""
+
+    def test_seeds_and_seed_list_are_mutually_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli_main(["sweep", "--seeds", "3", "--seed-list", "1,2", "--dry-run"])
+        assert info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_zero_seeds_rejected(self, capsys):
+        assert cli_main(["sweep", "--seeds", "0", "--dry-run"]) == 2
+        assert "'seeds' must be >= 1" in capsys.readouterr().err
+
+    def test_zero_horizon_rejected(self, capsys):
+        assert cli_main(["sweep", "--horizon", "0", "--dry-run"]) == 2
+        assert "'horizon' must be an int >= 1" in capsys.readouterr().err
+
+    def test_run_rejects_negative_horizon(self, capsys):
+        assert cli_main(["run", "flooding", "--horizon", "-1"]) == 2
+        assert "'horizon' must be an int >= 1" in capsys.readouterr().err
+
+    def test_run_rejects_multi_value_set(self, capsys):
+        assert cli_main(["run", "grid-flood", "--set", "rows=2,3"]) == 2
+        assert "expands to 2" in capsys.readouterr().err
+
+
 class TestNonFiniteSanitization:
     def test_sanitize_walks_containers(self):
         from repro.experiments.runner import sanitize_non_finite
