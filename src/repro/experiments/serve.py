@@ -4,8 +4,10 @@ A long-running :class:`SweepService` turns the batch pipeline into a system
 that serves traffic: clients POST sweep specs as JSON, poll or stream
 progress, and read cell records and aggregated reports straight out of the
 content-addressed :class:`~repro.experiments.store.ResultStore`.  The design
-splits a small always-on hub from elastic workers: hot results cost one
-advisory-index probe plus one pread, and only cold cells fan out to the
+splits a small always-on hub from elastic workers: a hot result costs a
+stat-level re-check of the service's long-lived store view, then one
+advisory-index probe plus one pread for a sealed record, or one parse of the
+raw line the view keeps for a tail record; only cold cells fan out to the
 distributed fabric (:mod:`repro.experiments.remote`) when one is attached.
 
 Everything is stdlib (``http.server.ThreadingHTTPServer``, newline-JSON
@@ -38,11 +40,18 @@ Invariants this module rides on (and must preserve):
   :class:`~repro.experiments.remote.RemoteExecutor` serves leases to the
   fleet and ``FabricScheduler.complete``/``record_local`` dedup redelivered
   cells.
-* **The store is the shared source of truth.**  Every request opens its own
-  :class:`ResultStore` view, so reads ride the store invariants (tail always
-  scanned in full, advisory index, tail-wins lookups, flock'd appends) and a
-  serve process coexists with CLI sweeps on the same store.  ``/results``
-  stays correct with the index deleted, stale, or disabled.
+* **The store is the shared source of truth.**  The service holds one
+  long-lived :class:`ResultStore` view, shared by the HTTP threads and the
+  job runner (the view serialises them on its own lock), and calls
+  :meth:`~ResultStore.refresh` before every read.  The refresh parses only
+  what was appended since the last read and reloads the view in full when
+  the tail's inode, a shrink, a same-size rewrite or the sealed segment
+  list says the disk was rewritten, so a serve process coexists with CLI
+  sweeps (appends, rotations, compactions) on the same store.  The view
+  loads lazily: start-up and ``/healthz`` never read the tail.  Reads ride
+  the store invariants (advisory index, tail-wins lookups, flock'd
+  appends); ``/results`` stays correct with the index deleted, stale, or
+  disabled.
 * **Telemetry is free.**  Every request increments ``serve.*`` counters and
   runs under :func:`~repro.obs.trace.span`, so ``/metrics`` self-reports the
   service's own traffic.
@@ -211,7 +220,6 @@ class SweepService:
         log: Optional[Callable[[str], None]] = None,
     ):
         self.store_path = store_path
-        self.rotate_bytes = rotate_bytes
         self.workers_listen = workers_listen
         self.workers = max(1, workers)
         self.shard_size = shard_size
@@ -228,15 +236,19 @@ class SweepService:
         self._server: Optional[ThreadingHTTPServer] = None
         self._server_thread: Optional[threading.Thread] = None
         self.address: Optional[Tuple[str, int]] = None
+        # One long-lived view for every thread; nothing is read before the
+        # first request that needs it.
+        if rotate_bytes is None:
+            self._store = ResultStore(store_path)
+        else:
+            self._store = ResultStore(store_path, rotate_bytes=rotate_bytes or None)
 
-    # -- store views -------------------------------------------------------
-
-    def _open_store(self) -> ResultStore:
-        """A fresh per-request view: re-reads disk, so a CLI sweep writing
-        the same store (flock'd appends, tail-wins lookups) is visible."""
-        if self.rotate_bytes is None:
-            return ResultStore(self.store_path)
-        return ResultStore(self.store_path, rotate_bytes=self.rotate_bytes or None)
+    def _view(self) -> ResultStore:
+        """The service's store view, re-checked against the disk, so a CLI
+        sweep writing the same store (appends, rotations, rewrites) is
+        visible."""
+        self._store.refresh()
+        return self._store
 
     # -- sweep lifecycle ---------------------------------------------------
 
@@ -265,7 +277,7 @@ class SweepService:
                 self._known_cells.setdefault(cell.key(), cell)
         # Instant cache accounting: probe the store once per cell so the
         # POST response already says how much of the grid is hot.
-        store = self._open_store()
+        store = self._view()
         hot = 0
         for cell in cells:
             record = store.get(cell.key())
@@ -328,7 +340,7 @@ class SweepService:
             with span("serve.sweep", sweep=job.id):
                 outcome = run_sweep(
                     job.cells,
-                    store=self._open_store(),
+                    store=self._view(),
                     workers=self.workers,
                     backend=executor,
                     shard_size=self.shard_size,
@@ -375,7 +387,7 @@ class SweepService:
         """One record by cell key; a lost/damaged record of a known cell
         recomputes and supersedes (exactly the store's PR 9 degradation:
         a CRC-failed read is a cache miss, never a served wrong record)."""
-        store = self._open_store()
+        store = self._view()
         record = store.get(key)
         if record is not None:
             _C_CACHE_HIT.value += 1
@@ -412,7 +424,7 @@ class SweepService:
             if job is None:
                 return None
             keys = frozenset(cell.key() for cell in job.cells)
-        store = self._open_store()
+        store = self._view()
         cache_key = (sweep, tuple(group_by), chosen, store.stat_signature())
         with self._lock:
             cached = self._report_cache.get(cache_key)

@@ -12,8 +12,10 @@ exactly the original single-file format, so legacy stores open unchanged)
 plus, once the tail outgrows ``rotate_bytes``, *sealed segments* under
 ``<path>.segments/``:
 
-* ``<path>`` — the active tail.  All appends land here; it is always
-  scanned in full on load, so appends can never stale the index.
+* ``<path>`` — the active tail.  All appends land here; it is never
+  indexed, and a view reads it as a full scan plus the validated appended
+  suffix (see :meth:`ResultStore.refresh`), so appends can never stale the
+  index.
 * ``<path>.segments/seg-NNNNNN.jsonl`` — sealed segments.  One meta line
   (format version, record count, sealing owner), then one record per line
   wrapped as ``{"c": CRC32, "r": {record}}`` — every fetch is verified
@@ -51,6 +53,27 @@ re-read) so resume cost is independent of store size.  The deep pass is
 index).  :meth:`ResultStore.migrate` upgrades a legacy single-file store in
 place by force-sealing its tail; records read back identically.
 
+Views.  A :class:`ResultStore` is a *view* of the disk that may stay open
+for the life of a process (``repro serve`` keeps one).  It keeps the
+tail's lines as raw bytes and parses one on each :meth:`ResultStore.get`;
+sealed records are fetched through their locator with one ``pread`` and
+are not kept.  :meth:`ResultStore.refresh` re-checks the view against the
+disk, relying only on the store's own write discipline: the tail changes
+in place only by ``O_APPEND``, and every rewrite (rotate, compact,
+recover, repair) goes through ``os.replace``, which gives the file a new
+inode.  The view records the tail's ``(st_dev, st_ino, st_size,
+st_mtime_ns)``, the offset it has parsed up to with the bytes just before
+it, and the sealed segments' ``(name, size, mtime_ns)`` list.  A refresh
+does nothing while all of those are unchanged; parses only the appended
+suffix when the segment list is unchanged, the tail kept its inode and
+grew, and the boundary bytes still match; and in every other case (a new
+inode, a shrink, a same-size change with a new mtime, a segment change, a
+deleted tail) drops the view and loads it in full.  An unterminated final
+line is parsed exactly as a full load parses it and is read again on the
+next refresh.  An in-place edit that keeps the inode, grows the file and
+leaves the boundary bytes alone is outside that discipline and goes
+unseen until the next full load.  A view is safe to share between threads.
+
 Multiple processes may share one store (several sweep coordinators, a
 resumed sweep racing a report): appends take a *shared* advisory ``flock``
 and rewrites/rotations an *exclusive* one on a sidecar ``<path>.lock``
@@ -81,12 +104,15 @@ from __future__ import annotations
 
 import binascii
 import contextlib
+import functools
 import hashlib
 import json
 import os
 import re
 import socket
+import threading
 import time
+import weakref
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 try:  # advisory locking is POSIX-only; the store degrades gracefully
@@ -123,6 +149,12 @@ _C_INDEX_REBUILDS = _metrics.counter("store.index_rebuilds")
 _C_INDEX_HITS = _metrics.counter("store.index_hits")
 _C_SEGMENT_FETCHES = _metrics.counter("store.segment_fetches")
 _C_CRC_FAILURES = _metrics.counter("store.crc_failures")
+_C_TAIL_BYTES_PARSED = _metrics.counter("store.tail_bytes_parsed")
+_C_VIEW_RELOADS = _metrics.counter("store.view_reloads")
+
+#: Bytes just before a view's parsed offset that a refresh re-reads and
+#: compares before it trusts the file to have only grown by appends.
+_BOUNDARY_BYTES = 64
 
 #: Default store location, relative to the current working directory.
 DEFAULT_STORE_PATH = os.path.join(".repro-store", "results.jsonl")
@@ -206,6 +238,17 @@ def _unwrap_record(line: bytes) -> Optional[Dict[str, Any]]:
     return record
 
 
+def _synchronized(method):
+    """Run a :class:`ResultStore` method under the view's own lock."""
+
+    @functools.wraps(method)
+    def locked(self, *args, **kwargs):
+        with self._mutex:
+            return method(self, *args, **kwargs)
+
+    return locked
+
+
 class ResultStore:
     """An append-only, segmented JSONL result cache with an O(1) resume index.
 
@@ -215,6 +258,11 @@ class ResultStore:
     fully scanned on load instead (the comparison baseline for the resume
     bench, and a fallback for read-only filesystems where index writes
     cannot land anyway).
+
+    An instance is a view: it loads lazily on first use and then sees its
+    own writes; :meth:`refresh` brings in what other processes wrote (see
+    the module docstring for the rule).  Every public method holds the
+    view's lock, so threads may share one instance.
     """
 
     def __init__(
@@ -228,16 +276,23 @@ class ResultStore:
         self.path = path
         self.rotate_bytes = rotate_bytes
         self.use_index = use_index
-        self._tail: Dict[str, Dict[str, Any]] = {}
+        self._mutex = threading.RLock()
+        # The tail view: newest raw line per key, in first-appearance order,
+        # plus the unterminated final line when it parses (kept apart so a
+        # refresh can read it again).
+        self._tail: Dict[str, bytes] = {}
+        self._fragment: Optional[Tuple[str, bytes]] = None
+        self._tail_fd: Optional[int] = None
+        self._tail_closer: Any = None
+        self._tail_stat: Optional[Tuple[int, int, int, int]] = None
+        self._tail_offset = 0
+        self._tail_boundary = b""
+        self._tail_bad_lines = 0
+        self._segment_stat: List[Tuple[str, int, int]] = []
+        # Parsed sealed records; only filled with ``use_index=False``.
         self._sealed_cache: Dict[str, Dict[str, Any]] = {}
         self._locators: Dict[str, Tuple[int, int, int]] = {}
         self._segments: List[str] = []
-        # Segments whose records the in-memory view (locators or full-scan
-        # cache) actually covers.  With several coordinators sealing into one
-        # store this can lag self._segments; rotation folds the gap in before
-        # writing an index, so a written index is always complete for the
-        # segment list it declares.
-        self._covered: set = set()
         self._loaded = False
 
     # -- layout ------------------------------------------------------------
@@ -301,7 +356,10 @@ class ResultStore:
         if self._loaded:
             return
         self._loaded = True
-        self._segments = self._list_segments()
+        # The segment signature is taken before anything is read, so a
+        # segment that changes during the load fails the next refresh.
+        self._segment_stat = self._segment_signature()
+        self._segments = [name for name, _, _ in self._segment_stat]
         if self._segments:
             if self.use_index:
                 if not self._try_load_index():
@@ -310,25 +368,148 @@ class ResultStore:
                 self._scan_segments()
         self._load_tail()
 
-    def _load_tail(self) -> None:
+    def _segment_signature(self) -> List[Tuple[str, int, int]]:
+        signature = []
+        for name in self._list_segments():
+            try:
+                info = os.stat(self._segment_path(name))
+            except OSError:
+                signature.append((name, -1, -1))
+            else:
+                signature.append((name, info.st_size, info.st_mtime_ns))
+        return signature
+
+    def _reset_tail(self) -> None:
+        if self._tail_fd is not None:
+            self._tail_closer()
+            self._tail_fd = None
         self._tail = {}
+        self._fragment = None
+        self._tail_stat = None
+        self._tail_offset = 0
+        self._tail_boundary = b""
+        self._tail_bad_lines = 0
+
+    def _load_tail(self) -> None:
+        """Read the whole tail into the view (a full load).
+
+        The descriptor stays open until the next full load: it keeps the
+        parsed inode allocated, so no later file can reuse its number and
+        an equal ``(st_dev, st_ino)`` always means this very file.
+        """
+        self._reset_tail()
         try:
-            handle = open(self.path, "rb")
+            fd = os.open(self.path, os.O_RDONLY)
         except FileNotFoundError:
             return
-        with handle:
-            for line in handle:
-                record = _parse_line(line)
-                if record is not None:
-                    self._tail[record["key"]] = record
+        self._tail_fd = fd
+        self._tail_closer = weakref.finalize(self, os.close, fd)
+        info = os.fstat(fd)
+        self._fold_tail(os.pread(fd, info.st_size, 0), info)
 
+    def _fold_tail(self, data: bytes, info: os.stat_result) -> None:
+        """Fold tail bytes starting at ``self._tail_offset`` into the view.
+
+        Complete lines are parsed once and kept as raw bytes; the final
+        unterminated fragment (if any) is parsed the way a full load
+        parses it but stays past the recorded offset, so the next refresh
+        reads it again.
+        """
+        _C_TAIL_BYTES_PARSED.value += len(data)
+        end = data.rfind(b"\n") + 1
+        if end:
+            for line in data[: end - 1].split(b"\n"):
+                stripped = line.strip()
+                if not stripped:
+                    continue
+                record = _parse_line(stripped)
+                if record is None:
+                    self._tail_bad_lines += 1
+                else:
+                    self._tail[record["key"]] = stripped
+            if end >= _BOUNDARY_BYTES:
+                self._tail_boundary = data[end - _BOUNDARY_BYTES : end]
+            else:
+                self._tail_boundary = (self._tail_boundary + data[:end])[-_BOUNDARY_BYTES:]
+        fragment = data[end:].strip()
+        record = _parse_line(fragment) if fragment else None
+        self._fragment = None if record is None else (record["key"], fragment)
+        self._tail_offset += end
+        self._tail_stat = (info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns)
+
+    def _append_tail(self) -> bool:
+        """Parse only what was appended since the last sync; ``False`` when
+        the tail is not the same file grown by appends."""
+        try:
+            info = os.stat(self.path)
+        except FileNotFoundError:
+            return self._tail_stat is None
+        old = self._tail_stat
+        if old is None:
+            # A tail where the view had none: all of it is appended bytes.
+            self._load_tail()
+            return True
+        if old == (info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns):
+            return True
+        if old[:2] != (info.st_dev, info.st_ino) or info.st_size <= old[2]:
+            return False
+        info = os.fstat(self._tail_fd)
+        start = self._tail_offset - len(self._tail_boundary)
+        data = os.pread(self._tail_fd, info.st_size - start, start)
+        keep = len(self._tail_boundary)
+        if len(data) != info.st_size - start or data[:keep] != self._tail_boundary:
+            return False
+        self._fold_tail(data[keep:], info)
+        return True
+
+    @_synchronized
+    def refresh(self) -> None:
+        """Bring the view up to date with the disk, as cheaply as is safe.
+
+        Nothing is read while the tail's ``(st_dev, st_ino, st_size,
+        st_mtime_ns)`` and the sealed segments' ``(name, size, mtime_ns)``
+        list are unchanged.  A tail that kept its inode and grew past
+        unchanged boundary bytes has only its appended suffix parsed.
+        Anything else drops the view and loads it in full
+        (``store.view_reloads``).  The first call performs the initial load.
+        """
+        if not self._loaded:
+            self._ensure_loaded()
+            return
+        if self._segment_signature() == self._segment_stat and self._append_tail():
+            return
+        _C_VIEW_RELOADS.value += 1
+        self.reload()
+        self._ensure_loaded()
+
+    def _resync(self) -> None:
+        """Re-read the tail and segment signature after this view's own
+        rewrite, under the exclusive lock: its in-memory state already
+        matches the new files."""
+        self._segment_stat = self._segment_signature()
+        self._load_tail()
+
+    def _tail_view(self) -> Dict[str, bytes]:
+        """Newest raw tail line per key, the parseable fragment included."""
+        if self._fragment is None:
+            return self._tail
+        key, raw = self._fragment
+        return {**self._tail, key: raw}
+
+    def _tail_damaged(self) -> bool:
+        """Whether the tail holds unparseable lines or an unterminated end."""
+        return bool(self._tail_bad_lines) or (
+            self._tail_stat is not None and self._tail_stat[2] > self._tail_offset
+        )
+
+    @_synchronized
     def reload(self) -> None:
         """Drop every in-memory view and re-read the disk on next access."""
-        self._tail = {}
+        self._reset_tail()
+        self._segment_stat = []
         self._sealed_cache = {}
         self._locators = {}
         self._segments = []
-        self._covered = set()
         self._loaded = False
 
     # -- index -------------------------------------------------------------
@@ -370,7 +551,6 @@ class ResultStore:
         except (OSError, ValueError, KeyError, TypeError):
             return False
         self._locators = locators
-        self._covered = set(self._segments)
         return True
 
     def _rebuild_index(self, persist: bool = True) -> None:
@@ -389,7 +569,6 @@ class ResultStore:
                 if record is not None:
                     locators[record["key"]] = (si, offset, length)
         self._locators = locators
-        self._covered = set(self._segments)
         _C_INDEX_REBUILDS.value += 1
         if persist and self.use_index:
             try:
@@ -445,44 +624,12 @@ class ResultStore:
             for record, _, _ in self._iter_segment(name):
                 if record is not None:
                     self._sealed_cache[record["key"]] = record
-        self._covered = set(self._segments)
-
-    def _absorb_foreign_segments(self) -> None:
-        """Fold in segments sealed by other coordinators since our last sync.
-
-        Called under the exclusive lock with ``self._segments`` freshly
-        re-listed.  Segment numbers only ever grow (the next name is chosen
-        from the full on-disk listing under the same lock), so our previous
-        view is a prefix of the new list and existing locator seg-indices
-        stay valid; any listed segment we never scanned is scanned here, so
-        an index written afterwards covers every segment it declares — a
-        reader must never load a "fresh" index that silently misses another
-        writer's records.  A foreign compaction (which deletes old segments)
-        invalidates the prefix property, so that case starts the view over.
-        """
-        on_disk = set(self._segments)
-        if not self._covered <= on_disk:
-            self._locators = {}
-            self._sealed_cache = {}
-            self._covered = set()
-        if self.use_index:
-            for si, name in enumerate(self._segments):
-                if name in self._covered:
-                    continue
-                for record, offset, length in self._iter_segment(name):
-                    if record is None:
-                        continue
-                    key = record["key"]
-                    existing = self._locators.get(key)
-                    if existing is None or existing[0] <= si:
-                        self._locators[key] = (si, offset, length)
-                        self._sealed_cache.pop(key, None)
-                self._covered.add(name)
-        elif not self._covered >= on_disk:
-            self._scan_segments()
 
     def _fetch(self, key: str) -> Optional[Dict[str, Any]]:
-        """Materialise one sealed record through its locator, CRC-verified."""
+        """Materialise one sealed record through its locator, CRC-verified.
+
+        The record is not kept: a view's memory is its tail plus locators.
+        """
         loc = self._locators.get(key)
         if loc is None:
             return None
@@ -491,9 +638,11 @@ class ResultStore:
             return None
         _C_SEGMENT_FETCHES.value += 1
         try:
-            with open(self._segment_path(self._segments[si]), "rb") as handle:
-                handle.seek(offset)
-                raw = handle.read(length)
+            fd = os.open(self._segment_path(self._segments[si]), os.O_RDONLY)
+            try:
+                raw = os.pread(fd, length, offset)
+            finally:
+                os.close(fd)
         except OSError:
             _C_CRC_FAILURES.value += 1
             return None
@@ -503,7 +652,6 @@ class ResultStore:
             # fresh tail record supersedes the corrupt sealed one.
             _C_CRC_FAILURES.value += 1
             return None
-        self._sealed_cache[key] = record
         return record
 
     # -- locking -----------------------------------------------------------
@@ -537,18 +685,21 @@ class ResultStore:
     def _sealed_keys(self) -> Mapping[str, Any]:
         return self._locators if self.use_index else self._sealed_cache
 
+    @_synchronized
     def __len__(self) -> int:
         self._ensure_loaded()
         sealed = self._sealed_keys()
+        tail = self._tail_view()
         if not sealed:
-            return len(self._tail)
-        if not self._tail:
+            return len(tail)
+        if not tail:
             return len(sealed)
-        return len(set(sealed) | set(self._tail))
+        return len(set(sealed) | set(tail))
 
+    @_synchronized
     def __contains__(self, key: str) -> bool:
         self._ensure_loaded()
-        if key in self._tail:
+        if key in self._tail or (self._fragment is not None and self._fragment[0] == key):
             return True
         if key in self._sealed_keys():
             if self.use_index:
@@ -556,31 +707,34 @@ class ResultStore:
             return True
         return False
 
+    @_synchronized
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         self._ensure_loaded()
         _C_LOOKUPS.value += 1
-        record = self._tail.get(key)
-        if record is not None:
-            return record
-        record = self._sealed_cache.get(key)
-        if record is not None:
-            if self.use_index:
-                _C_INDEX_HITS.value += 1
-            return record
-        if self.use_index and key in self._locators:
+        if self._fragment is not None and self._fragment[0] == key:
+            return json.loads(self._fragment[1])
+        raw = self._tail.get(key)
+        if raw is not None:
+            return json.loads(raw)
+        if not self.use_index:
+            return self._sealed_cache.get(key)
+        if key in self._locators:
             _C_INDEX_HITS.value += 1
             return self._fetch(key)
         return None
 
+    @_synchronized
     def keys(self) -> Tuple[str, ...]:
         self._ensure_loaded()
         sealed = self._sealed_keys()
+        tail = self._tail_view()
         if not sealed:
-            return tuple(self._tail)
+            return tuple(tail)
         merged = dict.fromkeys(sealed)
-        merged.update(dict.fromkeys(self._tail))
+        merged.update(dict.fromkeys(tail))
         return tuple(merged)
 
+    @_synchronized
     def records(self) -> List[Dict[str, Any]]:
         """All current records (newest per key), in insertion order.
 
@@ -594,8 +748,8 @@ class ResultStore:
             for record, _, _ in self._iter_segment(name):
                 if record is not None:
                     merged[record["key"]] = record
-        for key, record in self._tail.items():
-            merged[key] = record
+        for key, raw in self._tail_view().items():
+            merged[key] = json.loads(raw)
         return list(merged.values())
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:
@@ -603,6 +757,7 @@ class ResultStore:
 
     # -- writes ------------------------------------------------------------
 
+    @_synchronized
     def put(self, record: Mapping[str, Any]) -> None:
         """Append one record; the newest record per key wins on lookup.
 
@@ -631,7 +786,6 @@ class ResultStore:
         torn = any(
             rule.kind == "torn-write" for rule in _faults.storage_fault("store.append")
         )
-        tail_size = 0
         with self._locked(exclusive=False):
             line = (canonical_json(payload) + "\n").encode("utf-8")
             if not self._ends_with_newline():
@@ -649,7 +803,7 @@ class ResultStore:
                 view = memoryview(line)
                 while view:
                     view = view[os.write(fd, view) :]
-                tail_size = os.fstat(fd).st_size
+                info = os.fstat(fd)
             finally:
                 os.close(fd)
         if torn:
@@ -659,10 +813,12 @@ class ResultStore:
             return
         # Only reached when the whole line is durably appended: an exception
         # above leaves the key out of the index, so the cell is re-executed
-        # rather than served from a record that never fully landed.
-        self._tail[key] = payload
+        # rather than served from a record that never fully landed.  The
+        # refresh reads it back with anything other writers appended, in
+        # disk order.
+        self.refresh()
         _C_APPENDS.value += 1
-        if self.rotate_bytes is not None and tail_size >= self.rotate_bytes:
+        if self.rotate_bytes is not None and info.st_size >= self.rotate_bytes:
             self.rotate()
 
     def put_many(self, records: Sequence[Mapping[str, Any]]) -> None:
@@ -793,6 +949,7 @@ class ResultStore:
         _C_SEGMENTS_SEALED.value += 1
         return entries
 
+    @_synchronized
     def rotate(self, force: bool = False) -> Optional[str]:
         """Seal the current tail into a checksummed segment; empty the tail.
 
@@ -819,29 +976,30 @@ class ResultStore:
                     sealed.append(record)
             if not sealed:
                 return None
-            self._segments = self._list_segments()
-            self._absorb_foreign_segments()
+            # Other coordinators seal into the same directory: bring the
+            # view up to date under the lock, so the index written below
+            # covers every segment it declares.
+            self.refresh()
             name = self._next_segment_name()
             rotate_kinds = {rule.kind for rule in _faults.storage_fault("store.rotate")}
             entries = self._write_segment(name, sealed)
             self._atomic_rewrite([])
             si = len(self._segments)
             self._segments.append(name)
-            self._covered.add(name)
             if self.use_index:
                 for key, (offset, length) in entries.items():
                     self._locators[key] = (si, offset, length)
                 if "stale-index" not in rotate_kinds:
                     with contextlib.suppress(OSError):
                         self._write_index()
-            # The sealed records stay served from memory either way; the
-            # values are identical to what a fetch would verify and return.
-            for record in sealed:
-                self._sealed_cache[record["key"]] = record
-            self._tail = {}
+            else:
+                for record in sealed:
+                    self._sealed_cache[record["key"]] = record
+            self._resync()
         _C_ROTATIONS.value += 1
         return name
 
+    @_synchronized
     def migrate(self) -> Dict[str, Any]:
         """Upgrade a legacy single-file store in place; idempotent.
 
@@ -851,7 +1009,7 @@ class ResultStore:
         bytes do not (``canonical_json`` round-trip).  Returns :meth:`info`.
         """
         self._ensure_loaded()
-        if self._tail:
+        if self._tail_view():
             self.rotate(force=True)
         elif self._segments and self.use_index and not self._try_load_index():
             self._rebuild_index()
@@ -859,6 +1017,7 @@ class ResultStore:
 
     # -- maintenance ---------------------------------------------------------
 
+    @_synchronized
     def recover(self) -> int:
         """Drop torn/corrupt tail lines, atomically; idempotent and *shallow*.
 
@@ -873,40 +1032,37 @@ class ResultStore:
         store size): a stale or missing index is rebuilt, and per-record
         damage inside segments surfaces lazily as CRC-failed fetches — i.e.
         cache misses that recompute and supersede.  The deep scan is
-        :meth:`verify`.  Runs under the exclusive advisory lock and re-reads
-        the file inside it, so concurrent appenders neither tear the scan
-        nor lose records.
+        :meth:`verify`.  Runs under the exclusive advisory lock and brings
+        the view up to date inside it (:meth:`refresh`), so concurrent
+        appenders neither tear the scan nor lose records; the tail is read
+        again and rewritten only when the view counted unparseable lines or
+        an unterminated end.
         """
-        self._ensure_loaded()
         dropped = 0
-        if os.path.exists(self.path):
+        if not os.path.exists(self.path):
+            self.refresh()
+        else:
             with self._locked(exclusive=True):
-                with open(self.path, "rb") as handle:
-                    raw = handle.read()
-                kept: List[bytes] = []
-                for line in raw.split(b"\n"):
-                    if not line.strip():
-                        continue
-                    if _parse_line(line) is None:
-                        dropped += 1
-                    else:
-                        kept.append(line + b"\n")
-                clean = raw.endswith(b"\n") or not raw
-                if dropped or not clean:
+                self.refresh()
+                if self._tail_damaged():
+                    with open(self.path, "rb") as handle:
+                        raw = handle.read()
+                    kept: List[bytes] = []
+                    for line in raw.split(b"\n"):
+                        if not line.strip():
+                            continue
+                        if _parse_line(line) is None:
+                            dropped += 1
+                        else:
+                            kept.append(line + b"\n")
                     self._atomic_rewrite(kept)
-                    self._load_tail()
-        on_disk = self._list_segments()
-        if on_disk != self._segments or (
-            on_disk and self.use_index and not self._try_load_index()
-        ):
-            self._segments = on_disk
-            if self.use_index:
-                self._rebuild_index()
-            else:
-                self._scan_segments()
+                    self._resync()
+        if self._segments and self.use_index and not self._try_load_index():
+            self._rebuild_index()
         _C_RECOVER_DROPPED.value += dropped
         return dropped
 
+    @_synchronized
     def compact(self) -> int:
         """Rewrite the store keeping one (newest) record per key, atomically.
 
@@ -926,7 +1082,7 @@ class ResultStore:
         if not os.path.exists(self.path) and not self._segments:
             return 0
         with self._locked(exclusive=True):
-            self._segments = self._list_segments()
+            self.refresh()
             merged: Dict[str, Dict[str, Any]] = {}
             total_lines = 0
             for name in self._segments:
@@ -986,15 +1142,14 @@ class ResultStore:
                     new_segments.append(name)
                     for key, (offset, length) in entries.items():
                         self._locators[key] = (si, offset, length)
-                    for record in chunk:
-                        self._sealed_cache[record["key"]] = record
+                    if not self.use_index:
+                        for record in chunk:
+                            self._sealed_cache[record["key"]] = record
                 self._atomic_rewrite([])
                 for name in old_segments:
                     with contextlib.suppress(OSError):
                         os.unlink(self._segment_path(name))
                 self._segments = new_segments
-                self._covered = set(new_segments)
-                self._tail = {}
                 if self.use_index:
                     with contextlib.suppress(OSError):
                         self._write_index()
@@ -1010,14 +1165,14 @@ class ResultStore:
                 with contextlib.suppress(OSError):
                     os.rmdir(self.segments_dir)
                 self._segments = []
-                self._covered = set()
                 self._locators = {}
                 self._sealed_cache = {}
-                self._tail = merged
+            self._resync()
         dropped = total_lines - len(merged)
         _C_COMPACT_DROPPED.value += dropped
         return dropped
 
+    @_synchronized
     def verify(self, repair: bool = False) -> Dict[str, Any]:
         """Deep integrity check: CRC every sealed record, scan the tail.
 
@@ -1040,7 +1195,7 @@ class ResultStore:
             "repaired": False,
         }
         with self._locked(exclusive=repair):
-            self._segments = self._list_segments()
+            self.refresh()
             damaged: Dict[str, List[Dict[str, Any]]] = {}
             for name in self._segments:
                 good: List[Dict[str, Any]] = []
@@ -1091,7 +1246,8 @@ class ResultStore:
             # take their own locks.
             if report["tail_torn_lines"]:
                 self.recover()
-            self._segments = self._list_segments()
+            self._segment_stat = self._segment_signature()
+            self._segments = [name for name, _, _ in self._segment_stat]
             if self._segments:
                 if self.use_index:
                     self._rebuild_index()
@@ -1108,6 +1264,7 @@ class ResultStore:
         )
         return report
 
+    @_synchronized
     def info(self) -> Dict[str, Any]:
         """Layout summary: segment count/records, tail records, index state."""
         self._ensure_loaded()
@@ -1126,7 +1283,7 @@ class ResultStore:
             "rotate_bytes": self.rotate_bytes,
             "segments": list(self._segments),
             "sealed_records": len(self._sealed_keys()),
-            "tail_records": len(self._tail),
+            "tail_records": len(self._tail_view()),
             "keys": len(self),
             "index": index_state,
         }
